@@ -80,10 +80,10 @@ HEADLINE_MIN_SPEEDUP = 2.0
 #: shrinks relative scheduler noise).  Three bars, together raising the
 #: effective hot-path floor above the interpreted loop's 2x:
 #: replay must keep the 2x-vs-seed win, must not lose to the
-#: interpreted loop it was compiled from (measured 0.94-1.02x; ratios
+#: interpreted loop it was compiled from (measured ~0.78x; ratios
 #: between the two in-process engines are stable where ratios against
 #: the seed loop swing ±25% with runner load), and must demonstrably
-#: engage (measured ~71% of events replayed at this horizon — an
+#: engage (measured ~70% of events replayed at this horizon — an
 #: engine that never locks a period would otherwise "pass" at
 #: interpreted speed).  Kernel execution — real pixel data, always
 #: computed — is about half the replay-mode wall time, which is what
@@ -98,8 +98,8 @@ REPLAY_MIN_ENGAGEMENT = 0.60
 #: methodology as the replay bars: the vs-seed ratio swings ±25% with
 #: runner load, so the *defended* floor is the stable in-process ratio —
 #: the batched walk must beat the per-firing walk it specializes
-#: (measured ~0.83x wall) — plus a coverage floor proving the batch
-#: compiler still vectorizes the bulk of the period (measured ~86% of
+#: (measured ~0.72x wall) — plus a coverage floor proving the batch
+#: compiler still vectorizes the bulk of the period (measured ~94% of
 #: replayed firings batched; an executor that silently fell back to
 #: scalar would otherwise "pass" at no-batch speed).  The vs-seed floor
 #: is kept above the replay bar so the batch win registers against the
@@ -250,6 +250,11 @@ def test_sim_hotpath(benchmark, key, chip_name):
             "wall_s": rep_wall,
             "events_per_s": rep.events_processed / rep_wall,
             "speedup": replay_speedup,
+            # Gated by scripts/bench_gate.py: <= 1.0 where engaged; a
+            # declined run must have dropped the seam (plain_loop).
+            "vs_interpreted": rep_wall / opt_wall,
+            "plain_loop": rstats.stopped is not None,
+            "stopped": rstats.stopped,
             "engaged": rstats.engaged,
             "engagement": engagement,
             "events_replayed": rstats.events_replayed,
@@ -257,6 +262,7 @@ def test_sim_hotpath(benchmark, key, chip_name):
             "periods_replayed": rstats.periods_replayed,
             "period_firings": rstats.period_firings,
             "demotions": dict(rstats.demotions),
+            "not_armed": dict(rstats.not_armed),
         },
     })
 

@@ -14,7 +14,13 @@ baseline and fails (exit 1) when either:
 * a headline block (``replay_headline``, ``batch_headline``) in the
   fresh payload breaks one of its own published ``bars`` — the floors
   live in the payload, written by the benchmark harness, so the gate
-  and the harness can never disagree about what the floor is.
+  and the harness can never disagree about what the floor is, or
+* an entry's ``replay`` block shows replay losing to the interpreter:
+  where replay engaged, ``vs_interpreted`` (replay wall time over
+  interpreted wall time, best-of, engines interleaved) must be at most
+  ``REPLAY_VS_INTERPRETED_MAX``; where it declined, the run must have
+  dropped the replay seam (``plain_loop``), so the rest of it was the
+  plain event loop.  The second check is deterministic, not timed.
 
 A per-app delta table (GitHub-flavoured markdown) is always printed; it
 is additionally appended to ``--summary`` when given, or to the file
@@ -57,6 +63,49 @@ HEADLINE_BARS = {
         ("coverage", "min_coverage", "min"),
     ),
 }
+
+
+#: Replay wall time over interpreted wall time allowed on an entry where
+#: replay engaged: replay must never lose to the interpreter.
+REPLAY_VS_INTERPRETED_MAX = 1.0
+
+
+def _replay_checks(fresh: dict) -> tuple[list[str], list[str]]:
+    """Per-entry replay bar: ``(table_lines, failures)``."""
+    lines: list[str] = []
+    failures: list[str] = []
+    for e in fresh.get("entries", ()):
+        r = e.get("replay")
+        if r is None or "vs_interpreted" not in r:
+            continue
+        name = f"{e['app']}@{e['chip']['name']}"
+        if r.get("engaged"):
+            ok = r["vs_interpreted"] <= REPLAY_VS_INTERPRETED_MAX
+            lines.append(
+                f"| {e['app']} | {e['chip']['name']} | replay engaged, "
+                f"vs_interpreted <= {REPLAY_VS_INTERPRETED_MAX:g} "
+                f"| {r['vs_interpreted']:.3f} | — "
+                f"| {'ok' if ok else '**above ceiling**'} |"
+            )
+            if not ok:
+                failures.append(
+                    f"app {name}: replay engaged but took "
+                    f"{r['vs_interpreted']:.3f}x the interpreter's wall "
+                    f"time (> {REPLAY_VS_INTERPRETED_MAX:g}x)"
+                )
+        else:
+            ok = bool(r.get("plain_loop"))
+            lines.append(
+                f"| {e['app']} | {e['chip']['name']} | replay declined, "
+                f"plain loop | {'yes' if ok else 'no'} | — "
+                f"| {'ok' if ok else '**still recording**'} |"
+            )
+            if not ok:
+                failures.append(
+                    f"app {name}: replay declined but never dropped its "
+                    f"seam, so the run did not finish on the plain loop"
+                )
+    return lines, failures
 
 
 def _entries_by_key(payload: dict) -> dict[tuple[str, str], dict]:
@@ -139,7 +188,8 @@ def gate(
                     f"published bar ({metric} {rel} {bar:g})"
                 )
 
-    return lines, failures
+    rlines, rfailures = _replay_checks(fresh)
+    return lines + rlines, failures + rfailures
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,13 @@
 """Timing-accurate functional simulator and untimed golden executor.
 
-Three interchangeable execution engines live here: the optimized hot
-path (:mod:`.simulator`), the quasi-static schedule replay engine
-(:mod:`.replay`, opt-in via ``SimulationOptions(replay=True)``), and the
-frozen seed implementation (:mod:`.reference`).  The conformance and
-differential suites prove all three observably identical; the benchmark
-suite measures speedups against the reference.
+Two event loops live here: the optimized hot path (:mod:`.simulator`)
+and the frozen seed implementation (:mod:`.reference`).  Quasi-static
+schedule replay (:mod:`.replay`, opt-in via
+``SimulationOptions(replay=True)``) is a seam on the hot path that walks
+locked steady-state periods, with batched kernel bodies (:mod:`.batch`).
+The conformance and differential suites prove every configuration
+observably identical; the benchmark suite measures speedups against the
+reference.
 """
 
 from .functional import FunctionalResult, run_functional

@@ -1,15 +1,15 @@
 """Batched quasi-static execution of compiled replay periods.
 
-PR 7's replay engine executes a locked period as a static op walk but
-still calls every Python kernel body once per firing — by then ~half of
-replay wall time.  The period *is* a static firing sequence, which is
-exactly the quasi-static shape StreamBlocks exploits when it fuses actor
-firings into pipelines: this module compiles each period's data-method
-firings into per-kernel groups and, where the kernel opts in
-(:meth:`Kernel.batch_accepts` / :meth:`Kernel.batched_apply`), runs the
-whole period's worth of a body as one vectorized call.
+The replay walk (:mod:`.replay`) executes a locked period as a static op
+walk but still calls every Python kernel body once per firing.  The
+period *is* a static firing sequence, which is exactly the quasi-static
+shape StreamBlocks exploits when it fuses actor firings into pipelines:
+this module compiles each period's data-method firings into per-kernel
+groups and, where the kernel opts in (:meth:`Kernel.batch_accepts` /
+:meth:`Kernel.batched_apply`), runs the whole period's worth of a body
+as one vectorized call.
 
-The contract with the replay walk is strict DES-exactness:
+The contract with the walk is strict DES-exactness:
 
 * **Simulated time is untouched.**  Batched ops charge the plan's
   precomputed per-firing costs — the same floats the scalar good path
@@ -22,27 +22,37 @@ The contract with the replay walk is strict DES-exactness:
 * **State mutations stay per-firing.**  A batch precomputes emissions
   but applies each firing's state mutation through a ``commit(i)``
   callback at that firing's op, in schedule order — so a mid-period
-  demotion leaves exactly the state sequential execution would have.
-* **Any surprise falls back to the scalar walk.**  The per-period
-  :meth:`BatchPlan.prepare` re-validates every gathered input (object
-  type, dtype, shape) and every predicted emission (count and ports)
-  against the plan; one mismatch discards the whole batch *before
-  anything is mutated* and the period executes per-firing — which
-  reproduces the scalar engine's own cost-divergence demotions exactly.
-  At each batched op the walk additionally checks the channel head *is*
-  the predicted object before popping, demoting DES-exactly otherwise.
+  hand-back leaves exactly the state sequential execution would have.
+* **Any surprise falls back to the scalar walk.**  :meth:`BatchPlan.stage`
+  re-validates every gathered input (object type, dtype, shape) and every
+  predicted emission (count and ports) against the plan; one mismatch
+  discards the whole batch *before anything is mutated* and the period
+  executes per firing.  At each batched op the walk additionally checks
+  the channel head *is* the predicted object before popping.
 
-Compilation performs a symbolic dataflow walk over the execution plan:
-per-channel produced-item references in push order (source prefetch
-slots, carried-over completions, batched producers' emissions), pop
-counters at every consume, then a fixpoint dropping any group that
+Costs are paid where they recur.  :func:`compile_batch_plan` runs once
+per armed plan: a symbolic dataflow walk over the execution plan
+(per-channel produced-item references in push order — source prefetch
+slots, carried-over completions, batched producers' emissions — and pop
+counters at every consume), then a fixpoint dropping any group that
 consumes an unpredictable slot, and a topological order so producers
-batch before their consumers inside one period.
+batch before their consumers inside one period.  :meth:`BatchPlan.prepare`
+resolves each group's input slots against the period-start channel
+occupancy; it runs again only when that occupancy changes, which in a
+steady state is never.  :meth:`BatchPlan.stage` is the per-period part:
+gather, ``batched_apply``, validate.
+
+Groups narrower than the replay engine's minimum width (one firing per
+period, as in a graph where every kernel fires once per line) walk
+scalar: a one-wide batch pays the protocol for no vectorization.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .runtime import Firing
+from .simulator import _FINISH
 
 __all__ = ["FORWARD_OTHER", "BatchResult", "BatchPlan", "compile_batch_plan"]
 
@@ -53,14 +63,18 @@ FORWARD_OTHER = "<forward>"
 
 _F8 = np.dtype(np.float64)
 
+# Slot kinds of a prepared layout: an item already in the channel at
+# period start, a prefetched source item, a batched producer's emission,
+# the emission of a completion carried in from the previous period.
+_QUEUED, _SOURCE, _GROUP, _CARRIED = range(4)
+
 
 class BatchResult:
     """Stand-in for ``FiringResult`` on batched EXEC ops.
 
-    The replay walk's FINISH handler and the demotion path only consult
-    ``.emissions``; cost fields are never read because batched ops charge
-    the plan's precomputed values (a cost mismatch would have failed
-    :meth:`BatchPlan.prepare` and fallen back to scalar execution).
+    The walk's completion handler only consults ``.emissions``; cost
+    fields are never read because batched ops charge the plan's
+    precomputed values.
     """
 
     __slots__ = ("emissions",)
@@ -73,102 +87,121 @@ class _Group:
     """One kernel's batched firings within the period, in schedule order."""
 
     __slots__ = (
-        "kernel", "method", "n", "op_indices", "cports", "ports",
+        "name", "kernel", "method", "n", "op_indices", "cports", "ports",
         "chans", "exp_counts", "exp_ports",
     )
-
-
-#: Sentinel returned by ``_gather`` when a group's needed slot is
-#: *structurally* unresolvable (opaque push, non-batched producer) —
-#: the same slot recurs every period, so the group is pruned for good.
-_DROP = object()
 
 
 class BatchPlan:
     """Per-kernel firing groups compiled from one execution plan."""
 
-    __slots__ = ("groups", "plan_len", "kernel_names", "dead")
-
-    def _gather(self, g, results):
-        """Collect one group's per-firing inputs from current channel state.
-
-        Returns ``{port: [item, ...]}``, ``_DROP`` when a needed slot can
-        never resolve (channel occupancy is steady across periods, so the
-        same slot would fail every time — prune the group permanently),
-        or ``None`` for a transient surprise (carry not in flight, wrong
-        dtype/shape) that scalar-executes just this period.
-        """
-        inputs: dict[str, list] = {}
-        for port, ch, ks, shape, refs in g.ports:
-            occupancy = len(ch.items)
-            entry = list(ch.items) if occupancy else None
-            nrefs = len(refs)
-            ilist = []
-            for k in ks:
-                if k < occupancy:
-                    it = entry[k]
-                else:
-                    j = k - occupancy
-                    if j >= nrefs:
-                        return _DROP
-                    ref = refs[j]
-                    if ref is None:
-                        return _DROP
-                    tag = ref[0]
-                    if tag == 2:
-                        gid = ref[1]
-                        ems_list = results[gid] if gid < len(results) else None
-                        if ems_list is None:
-                            return _DROP
-                        it = ems_list[ref[2]][ref[3]][1]
-                    elif tag == 0:
-                        it = ref[1].buf[ref[2]][1]
-                    else:
-                        fr = ref[1].finish_result
-                        if fr is None:
-                            return None
-                        ems = fr.emissions
-                        if ref[2] >= len(ems):
-                            return None
-                        it = ems[ref[2]][1]
-                if (
-                    type(it) is not np.ndarray
-                    or it.dtype != _F8
-                    or it.shape != shape
-                ):
-                    return None
-                ilist.append(it)
-            inputs[port] = ilist
-        return inputs
+    __slots__ = ("groups", "plan_len", "kernel_names", "scalar", "chans",
+                 "occupancy", "layout", "carried")
 
     def prepare(self):
-        """Batch-execute every group against the *current* channel state.
+        """Resolve every group's input slots against current occupancy.
 
-        Called once per period, after source prefetch and before the op
-        walk.  Returns a list parallel to the execution plan — entry
-        ``(result, commit, i, predicted_items)`` at each batched op's
-        index, ``None`` elsewhere — or ``None`` to run the whole period
-        per-firing.  Nothing observable is mutated here: state changes
-        happen via ``commit`` during the walk, so a ``None`` return (or a
-        later demotion) leaves the simulation exactly where the scalar
-        engine would be.
+        Returns one entry per group — ``None`` for a group whose needed
+        slot cannot resolve at this occupancy (an opaque token push, a
+        non-batched producer), else ``((port, channel, shape, slots),
+        ...)`` — or ``None`` when no group survives.  Called by
+        :meth:`stage` only when the period-start occupancy of the
+        consumed channels differs from the last call's.
         """
-        dead = self.dead
-        if len(dead) == len(self.groups):
+        layout: list = []
+        live = 0
+        for g in self.groups:
+            ports = []
+            for port, ch, ks, shape, refs in g.ports:
+                occupancy = len(ch.items)
+                slots = []
+                for k in ks:
+                    if k < occupancy:
+                        slots.append((_QUEUED, k))
+                        continue
+                    j = k - occupancy
+                    ref = refs[j] if j < len(refs) else None
+                    if ref is None or (
+                        ref[0] == _GROUP and layout[ref[1]] is None
+                    ):
+                        ports = None
+                        break
+                    slots.append(ref)
+                if ports is None:
+                    break
+                ports.append((port, ch, shape, tuple(slots)))
+            if ports is None:
+                self.scalar[g.name] = "input slot not predictable"
+                layout.append(None)
+            else:
+                live += 1
+                self.scalar.pop(g.name, None)
+                layout.append(tuple(ports))
+        return layout if live else None
+
+    def coverage(self) -> int:
+        """Firings per period that batch at the current occupancy."""
+        occupancy = tuple(len(ch.items) for ch in self.chans)
+        if occupancy != self.occupancy:
+            self.occupancy = occupancy
+            self.layout = self.prepare()
+        if self.layout is None:
+            return 0
+        return sum(g.n for g, ports in zip(self.groups, self.layout)
+                   if ports is not None)
+
+    def stage(self, bufs, events):
+        """Batch-execute every group against the current period's inputs.
+
+        Called once per period, after source prefetch (``bufs``) and
+        before the op walk.  Returns a list parallel to the execution
+        plan — entry ``(result, commit, i, predicted_items)`` at each
+        batched op's index, ``None`` elsewhere — or ``None`` to walk the
+        whole period per firing.  Nothing observable is mutated here:
+        state changes happen via ``commit`` during the walk.
+        """
+        occupancy = tuple(len(ch.items) for ch in self.chans)
+        if occupancy != self.occupancy:
+            self.occupancy = occupancy
+            self.layout = self.prepare()
+        layout = self.layout
+        if layout is None:
             return None
+        carried = None
+        if self.carried:
+            carried = {ev[3][0]: ev[3][1] for ev in events
+                       if ev[1] == _FINISH}
         results: list = []
         prepared: list = [None] * self.plan_len
-        for gid, g in enumerate(self.groups):
-            if gid in dead:
+        for g, ports in zip(self.groups, layout):
+            if ports is None:
                 results.append(None)
                 continue
-            inputs = self._gather(g, results)
-            if inputs is _DROP:
-                dead.add(gid)
-                results.append(None)
-                continue
-            if inputs is None:
-                return None
+            inputs: dict[str, list] = {}
+            for port, ch, shape, slots in ports:
+                queued = ch.items
+                ilist = []
+                for slot in slots:
+                    tag = slot[0]
+                    if tag == _SOURCE:
+                        it = bufs[slot[1]][slot[2]][1]
+                    elif tag == _QUEUED:
+                        it = queued[slot[1]]
+                    elif tag == _GROUP:
+                        it = results[slot[1]][slot[2]][slot[3]][1]
+                    else:
+                        fr = carried.get(slot[1])
+                        if fr is None or slot[2] >= len(fr.emissions):
+                            return None
+                        it = fr.emissions[slot[2]][1]
+                    if (
+                        type(it) is not np.ndarray
+                        or it.dtype != _F8
+                        or it.shape != shape
+                    ):
+                        return None
+                    ilist.append(it)
+                inputs[port] = ilist
             out = g.kernel.batched_apply(g.method, inputs)
             if out is None:
                 return None
@@ -186,35 +219,29 @@ class BatchPlan:
                     if em[0] != pexp[j]:
                         return None
             results.append(ems_list)
-            # Per-firing walk entries.  The (channel, predicted-item)
-            # pairs let the walk peek and pop without port-name lookups;
-            # the one- and two-port shapes cover every batchable kernel,
-            # so the generic path is a formality.
+            # Per-firing walk entries: (channel, predicted-item) pairs let
+            # the walk peek and pop without port-name lookups; the one-
+            # and two-port shapes cover every batchable kernel.
             chans = g.chans
-            brs = [BatchResult(e) for e in ems_list]
+            ils = [inputs[p] for p in g.cports]
             if len(chans) == 1:
                 ch0 = chans[0]
-                il0 = inputs[g.cports[0]]
+                il0 = ils[0]
                 for i, oi in enumerate(g.op_indices):
-                    prepared[oi] = (brs[i], commit, i, ((ch0, il0[i]),))
+                    prepared[oi] = (BatchResult(ems_list[i]), commit, i,
+                                    ((ch0, il0[i]),))
             elif len(chans) == 2:
                 ch0, ch1 = chans
-                il0 = inputs[g.cports[0]]
-                il1 = inputs[g.cports[1]]
+                il0, il1 = ils
                 for i, oi in enumerate(g.op_indices):
-                    prepared[oi] = (
-                        brs[i], commit, i,
-                        ((ch0, il0[i]), (ch1, il1[i])),
-                    )
+                    prepared[oi] = (BatchResult(ems_list[i]), commit, i,
+                                    ((ch0, il0[i]), (ch1, il1[i])))
             else:
-                ils = [inputs[p] for p in g.cports]
                 for i, oi in enumerate(g.op_indices):
                     prepared[oi] = (
-                        brs[i], commit, i,
+                        BatchResult(ems_list[i]), commit, i,
                         tuple((c, il[i]) for c, il in zip(chans, ils)),
                     )
-        if len(dead) == len(self.groups):
-            return None
         return prepared
 
 
@@ -223,30 +250,37 @@ def _translate(ref, op_to_group):
         return None
     tag = ref[0]
     if tag == "s":
-        return (0, ref[1], ref[2])
+        return (_SOURCE, ref[1], ref[2])
     if tag == "c":
-        return (1, ref[1], ref[2])
+        return (_CARRIED, ref[1], ref[2])
     gi = op_to_group.get(ref[1])
     if gi is None:
         return None
-    return (2, gi[0], gi[1], ref[2])
+    return (_GROUP, gi[0], gi[1], ref[2])
 
 
-def compile_batch_plan(xplan) -> BatchPlan | None:
+def compile_batch_plan(xplan, source_states, min_width: int,
+                       scalar: dict) -> BatchPlan | None:
     """Symbolically execute ``xplan`` and group its batchable firings.
 
     Returns ``None`` when nothing in the period batches.  Op layouts are
-    the replay engine's: EXEC ``(5, st, ps, firing, rebuild, ...costs...,
-    esig, nemit)``, FIN ``(1, st, rel)``, SRC ``(0, source, count, rel)``,
-    IO ``(6, st, entries)``.
+    the replay walk's (``repro.sim.replay``): EXEC ``(code, st, ps, fkey,
+    ...costs..., esig, ...)``, FIN ``(code, st, check)``, SRC ``(code,
+    source index, count, check)``, IO ``(code, st, signature, entries)``;
+    ``fkey`` is a frozen ``Firing`` or a token tuple ``(kind, method,
+    consume_ports, token type name)``.  Why each
+    data-firing kernel that does not batch walks scalar is written into
+    ``scalar`` (kernel name -> reason).
     """
+    from .replay import _X_EXEC, _X_FIN, _X_IO, _X_SRC
+
     # The completion carried across the period boundary is always the
     # kernel's *last* EXEC of the (periodic) plan, so its emission
     # signature names what a leading FINISH-without-EXEC delivers.
     last_esig: dict = {}
     for op in xplan:
-        if op[0] == 5:
-            last_esig[op[1]] = op[12]
+        if op[0] == _X_EXEC:
+            last_esig[op[1]] = op[11]
 
     produced: dict[int, list] = {}   # channel id -> refs, in push order
     chan: dict[int, object] = {}
@@ -279,26 +313,25 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
 
     for oi, op in enumerate(xplan):
         code = op[0]
-        if code == 5:
+        if code == _X_EXEC:
             st = op[1]
-            firing = op[3]
-            if firing is not None:
-                slots = record_pops(st, firing.consume_ports)
+            fkey = op[3]
+            if type(fkey) is Firing:
+                slots = record_pops(st, fkey.consume_ports)
                 if slots is None:
-                    cand.pop(st, None)
                     others.setdefault(st, set()).add("<unwired>")
                 else:
-                    cand.setdefault(st, []).append((oi, firing, op[12], slots))
-                pending[st] = (oi, op[12])
+                    cand.setdefault(st, []).append((oi, fkey, op[11], slots))
+                pending[st] = (oi, op[11])
             else:
-                rebuild = op[4]
-                record_pops(st, rebuild[2])
-                if rebuild[0] == "token" and rebuild[1] is not None:
-                    others.setdefault(st, set()).add(rebuild[1].name)
+                kind, method, cports, _tname = fkey
+                record_pops(st, cports)
+                if kind == "token" and method is not None:
+                    others.setdefault(st, set()).add(method.name)
                 else:
                     others.setdefault(st, set()).add(FORWARD_OTHER)
-                pending[st] = (None, op[12])
-        elif code == 1:
+                pending[st] = (None, op[11])
+        elif code == _X_FIN:
             st = op[1]
             if st in pending:
                 origin, esig = pending.pop(st)
@@ -318,41 +351,39 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
                 else:
                     ref = ("x", origin, e >> 1)
                 push(st, esig[e], ref)
-        elif code == 0:
-            src = op[1]
-            base_k = src_count.get(src, 0)
-            st = src.st
+        elif code == _X_SRC:
+            idx = op[1]
+            base_k = src_count.get(idx, 0)
+            st = source_states[idx]
             for j in range(op[2]):
-                push(st, "out", ("s", src, base_k + j))
-            src_count[src] = base_k + op[2]
-        elif code == 6:
+                push(st, "out", ("s", idx, base_k + j))
+            src_count[idx] = base_k + op[2]
+        elif code == _X_IO:
             st = op[1]
-            for firing, rebuild, esig, _nemit, _nout in op[2]:
-                cports = (
-                    firing.consume_ports if firing is not None else rebuild[2]
-                )
-                record_pops(st, cports)
+            for fkey, esig, _nout in op[3]:
+                record_pops(st, fkey.consume_ports if type(fkey) is Firing
+                            else fkey[2])
                 for e in range(0, len(esig), 2):
                     push(st, esig[e], None)
 
     # ------------------------------------------------------------------
     # Candidate groups: one frozen data firing per kernel, data-only
-    # emissions, and the kernel accepting its in-period company.
+    # emissions, enough firings per period to pay, and the kernel
+    # accepting its in-period company.
     # ------------------------------------------------------------------
     groups: dict = {}
     for st, ops_list in cand.items():
         f0 = ops_list[0][1]
         if f0.method is None or any(o[1] is not f0 for o in ops_list):
+            scalar[st.name] = "several data methods in the period"
             continue
-        bad = False
-        for _oi, _f, esig, _slots in ops_list:
-            for e in range(1, len(esig), 2):
-                if esig[e]:
-                    bad = True
-                    break
-            if bad:
-                break
-        if bad:
+        if any(esig[e] for _oi, _f, esig, _s in ops_list
+               for e in range(1, len(esig), 2)):
+            scalar[st.name] = "emits control tokens"
+            continue
+        if len(ops_list) < min_width:
+            scalar[st.name] = (f"{len(ops_list)} firing per period "
+                               f"(< {min_width})")
             continue
         oset = frozenset(others.get(st, ()))
         try:
@@ -361,6 +392,8 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
             accepted = False
         if accepted:
             groups[st] = ops_list
+        else:
+            scalar[st.name] = "kernel declined"
 
     # ------------------------------------------------------------------
     # Ordering: drop groups reading poisoned channels, then topologically
@@ -369,7 +402,7 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
     # which slot, so the whole prefix is a conservative dependency set).
     # Unresolvable prefix entries — opaque token pushes, non-batched
     # producers — do NOT drop the group here: prepare() sees the real
-    # occupancy and prunes only groups whose *needed* slot is opaque.
+    # occupancy and drops only groups whose *needed* slot is opaque.
     # A dependency cycle drops its members and retries the sort.
     # ------------------------------------------------------------------
     for st in list(groups):
@@ -378,6 +411,7 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
             for _oi, _f, _esig, slots in groups[st]
             for cid, _k in slots
         ):
+            scalar[st.name] = "input count not static"
             del groups[st]
     order: list = []
     while True:
@@ -411,6 +445,7 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
         if len(order) == len(groups):
             break
         for st in [s for s in groups if indeg[s] > 0]:
+            scalar[st.name] = "dependency cycle"
             del groups[st]
 
     # ------------------------------------------------------------------
@@ -423,7 +458,8 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
             op_to_group[oi] = (gid, i)
 
     plan_groups = []
-    kernel_names = []
+    consumed: dict[int, object] = {}
+    has_carried = False
     for st in order:
         ops_list = groups[st]
         f0 = ops_list[0][1]
@@ -438,10 +474,15 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
                 _translate(r, op_to_group)
                 for r in produced.get(cid, ())[: max(ks) + 1]
             )
+            has_carried = has_carried or any(
+                r is not None and r[0] == _CARRIED for r in refs
+            )
+            consumed[cid] = chan[cid]
             ports.append(
                 (port, chan[cid], ks, (spec.window.h, spec.window.w), refs)
             )
         g = _Group()
+        g.name = st.name
         g.kernel = kernel
         g.method = f0.method.name
         g.n = len(ops_list)
@@ -452,11 +493,15 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
         g.exp_counts = [len(o[2]) // 2 for o in ops_list]
         g.exp_ports = [o[2][0::2] for o in ops_list]
         plan_groups.append(g)
-        kernel_names.append(st.name)
+        scalar.pop(st.name, None)
 
     plan = BatchPlan()
     plan.groups = tuple(plan_groups)
     plan.plan_len = len(xplan)
-    plan.kernel_names = tuple(kernel_names)
-    plan.dead = set()
+    plan.kernel_names = tuple(g.name for g in plan_groups)
+    plan.scalar = scalar
+    plan.chans = tuple(consumed.values())
+    plan.occupancy = None
+    plan.layout = None
+    plan.carried = has_carried
     return plan

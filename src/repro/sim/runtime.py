@@ -332,6 +332,32 @@ class RuntimeKernel:
                 best, best_seq = firing, seq
         return best
 
+    def method_firings(self) -> tuple[Firing, ...]:
+        """The dispatch plan's frozen method firings — every method
+        firing :meth:`ready_firing` can return is one of these."""
+        wired = self._wired
+        if wired is None:
+            wired = self._prime()
+        return tuple(entry[1] for _port, _ch, entry in wired
+                     if entry is not None)
+
+    def sole_trigger(self, firing: Firing):
+        """The input deque whose data head alone selects ``firing``.
+
+        For a kernel whose only wired input triggers ``firing`` directly
+        (no peers, no selector), :meth:`ready_firing` returns exactly
+        ``firing`` whenever that deque's head is a data chunk — so a
+        caller replaying a known schedule may check the head instead.
+        None for every other kernel shape.
+        """
+        wired = self._wired
+        if wired is None or len(wired) != 1:
+            return None
+        _port, channel, entry = wired[0]
+        if entry is None or entry[0] != "single" or entry[1] is not firing:
+            return None
+        return channel.items
+
     def _token_firing(self, port: str, token: ControlToken) -> Firing | None:
         if port in self._transparent:
             # Feedback-loop input: drop the token (Section III-D).

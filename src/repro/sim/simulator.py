@@ -76,7 +76,7 @@ from .stats import ProcessorStats, RealTimeVerdict, UtilizationSummary
 from .trace import TraceEvent, trace_digest
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from .replay import ReplayStats
+    from .replay import Replayer, ReplayStats
 
 __all__ = ["BudgetOverrun", "SimulationOptions", "SimulationResult",
            "Simulator", "simulate"]
@@ -125,13 +125,13 @@ class SimulationOptions:
     #: the hot path is observably identical to the seed loop.
     noc: NocModel | None = None
     #: Quasi-static schedule replay (see :mod:`repro.sim.replay`): detect
-    #: the steady-state firing period online and execute whole periods
-    #: per step instead of one event at a time.  Off (the default) leaves
-    #: :meth:`Simulator.run` on the exact event loop below; on, the
-    #: replay engine runs whenever the configuration is eligible (no
-    #: trace/faults/telemetry/NoC/bounded channels) and falls back to
-    #: this loop otherwise.  Either way the observable result is
-    #: bit-identical — only :attr:`SimulationResult.replay` differs.
+    #: the steady-state firing period online and walk whole periods per
+    #: step instead of dispatching one event at a time.  Off (the
+    #: default) the event loop below carries no replay seam; on, the seam
+    #: rides the same loop whenever the configuration is eligible (no
+    #: trace/faults/telemetry/NoC/bounded channels) and drops itself when
+    #: no period pays.  Either way the observable result is bit-identical
+    #: — only :attr:`SimulationResult.replay` differs.
     replay: bool = False
     #: Batched quasi-static kernel execution inside replayed periods
     #: (``repro.sim.batch``).  Inert without :attr:`replay`.  On by
@@ -459,6 +459,11 @@ class SimulationResult:
 # order of the other three is exactly the seed's.)
 _DELIVER, _FINISH, _ARRIVE, _POLL = 0, 1, 2, 3
 
+# Structural op codes the loop hands the replay seam, one op per event
+# (see :meth:`repro.sim.replay.Replayer.record`).  The second element of
+# every op is the time relation to the previous event: 0 same, 1 later.
+_OP_SRC, _OP_FIN, _OP_RUN, _OP_EMPTY, _OP_PARK, _OP_EXEC, _OP_IO = range(7)
+
 
 class _ProcState:
     """Mutable per-processor record resolved once before the event loop."""
@@ -609,18 +614,22 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        # The replay seam mirrors the faults/telemetry/NoC hook
-        # discipline: one precomputed check, and replay-off runs the
-        # byte-for-byte identical event loop below (the engine lives in
-        # its own module and is never imported on this path).
+        # Replay-off never imports the replay module: the loop below runs
+        # with its replay seam set to None.
         if self.options.replay:
             from .replay import run_with_replay
 
             return run_with_replay(self)
         return self._run_des()
 
-    def _run_des(self) -> SimulationResult:
-        """The discrete-event loop proper (one heap pop per event)."""
+    def _run_des(self, replay: "ReplayStats | None" = None) -> SimulationResult:
+        """The discrete-event loop proper (one heap pop per event).
+
+        ``replay`` (eligible replay runs only) turns on the replay seam:
+        a :class:`~repro.sim.replay.Replayer` that records one structural
+        op per event and, once a period locks, walks whole periods
+        against this loop's own heap and state.
+        """
         runtimes, channels = build_runtime(self.graph)
         opts = self.options
 
@@ -1045,6 +1054,26 @@ class Simulator:
         if len(events) > peak_heap:
             peak_heap = len(events)
 
+        # --- replay seam (None unless an eligible replay run) ------------
+        # Like faults/telemetry: one precomputed local, `is not None`
+        # checks only.  The loop drops it (back to None) for good when
+        # the detector gives up or no plan pays.
+        replayer: Replayer | None = None
+        # The seam's hooks: per firing while noting, per event while
+        # recording (see Replayer).
+        record = note = None
+        if replay is not None:
+            from .replay import Replayer, emit_sig, firing_key
+
+            replayer = Replayer(
+                replay, self.processor, opts, horizon, states.values(),
+                events, next_seq,
+                queued_polls, source_states, source_iters, source_heads,
+                violations, budget_overruns,
+            )
+            record = replayer.recorder
+            note = replayer.noter
+
         # --- main loop ---------------------------------------------------
         makespan = 0.0
         processed = 0
@@ -1114,6 +1143,22 @@ class Simulator:
 
         while events:
             time, kind, _, payload = heappop(events)
+            if replayer is not None:
+                rel = 1 if time > makespan else 0
+                if rel:
+                    walked = None
+                    if record is None and note is None:  # armed
+                        walked = replayer.walk(time, kind, payload,
+                                               makespan, processed)
+                        if walked is not None:
+                            processed, makespan = walked
+                    record = replayer.recorder
+                    note = replayer.noter
+                    if replayer.off:
+                        replay.stopped_at_event = processed
+                        replayer = None
+                    if walked is not None:
+                        continue
             makespan = time  # heap pops are time-ordered: last pop wins
 
             if kind == _POLL:
@@ -1129,12 +1174,16 @@ class Simulator:
                 # cannot precede this pop in heap order.
                 queued_polls.pop(st, None)
                 if st.running:
+                    if record is not None:
+                        record((_OP_RUN, rel, id(st)))
                     continue
                 ps = st.proc
                 if ps is None:
                     # Off-chip boundary kernel: executes instantly.
                     st_ready = st.ready
                     st_execute = st.execute
+                    io = ([] if record is not None or note is not None
+                          else None)
                     while True:
                         firing = st_ready()
                         if firing is None:
@@ -1156,6 +1205,10 @@ class Simulator:
                                 times_out.append(time)
                         for port, item in result.emissions:
                             deliver(time, st, port, item)
+                        if io is not None:
+                            io.append((firing, result.emissions))
+                    if io is not None:
+                        replayer.record_io(rel, st, io)
                 else:
                     if (injector is not None and ps.dead_at is not None
                             and time >= ps.dead_at):
@@ -1167,6 +1220,8 @@ class Simulator:
                         pending = ps.pending
                         if st not in pending:
                             pending.append(st)
+                        if record is not None:
+                            record((_OP_PARK, rel, id(st)))
                         continue
                     firing = st.ready()
                     if firing is None:
@@ -1176,6 +1231,8 @@ class Simulator:
                                 and _resync_shed(st, fstats, tele, time)):
                             firing = st.ready()
                         if firing is None:
+                            if record is not None:
+                                record((_OP_EMPTY, rel, id(st)))
                             continue
                     if bounded:
                         me = st.max_emissions
@@ -1321,6 +1378,13 @@ class Simulator:
                               (st, result)))
                     if len(events) > peak_heap:
                         peak_heap = len(events)
+                    if record is not None:
+                        record((_OP_EXEC, rel, id(st), firing_key(firing),
+                                result.cycles, result.elements_read,
+                                result.elements_written, result.dynamic,
+                                emit_sig(result.emissions)))
+                    elif note is not None:
+                        note((id(st), firing_key(firing)))
 
             elif kind == _FINISH:
                 processed += 1
@@ -1350,6 +1414,8 @@ class Simulator:
                     pending.clear()
                     if len(events) > peak_heap:
                         peak_heap = len(events)
+                if record is not None:
+                    record((_OP_FIN, rel, id(st)))
 
             elif kind == _ARRIVE:
                 # NoC arrival: a routed transfer reaches its consumer.
@@ -1369,10 +1435,20 @@ class Simulator:
                 st = source_states[idx]
                 it = source_iters[idx]
                 head = source_heads[idx]
-                while head is not None and head[0] == time:
-                    processed += 1
-                    deliver(time, st, "out", head[1])
-                    head = next(it, None)
+                if record is None:
+                    while head is not None and head[0] == time:
+                        processed += 1
+                        deliver(time, st, "out", head[1])
+                        head = next(it, None)
+                else:
+                    kinds = []
+                    while head is not None and head[0] == time:
+                        processed += 1
+                        item = head[1]
+                        kinds.append(isinstance(item, ControlToken))
+                        deliver(time, st, "out", item)
+                        head = next(it, None)
+                    record((_OP_SRC, rel, idx, len(kinds), tuple(kinds)))
                 source_heads[idx] = head
                 if head is not None:
                     heappush(events, (head[0], _DELIVER, idx, idx))
@@ -1401,6 +1477,8 @@ class Simulator:
             for name, rk in runtimes.items()
             if isinstance(rk.kernel, ApplicationOutput)
         }
+        if replay is not None:
+            replay.events_interpreted = processed - replay.events_replayed
         return SimulationResult(
             app=self.graph,
             options=opts,
@@ -1418,6 +1496,7 @@ class Simulator:
             fault_stats=fstats,
             telemetry=tele.finalize(makespan) if tele is not None else None,
             noc_stats=nstats if noc is not None else None,
+            replay=replay,
         )
 
 

@@ -148,3 +148,37 @@ def test_main_exit_codes_and_step_summary(tmp_path, monkeypatch, capsys):
     assert "bench gate: pass" in text and "bench gate: **FAIL**" in text
     err = capsys.readouterr().err
     assert "app 5@64" in err
+
+
+def _with_replay(payload: dict, engaged: bool, vs: float,
+                 plain_loop: bool) -> dict:
+    payload["entries"][0]["replay"] = {
+        "engaged": engaged, "vs_interpreted": vs, "plain_loop": plain_loop,
+    }
+    return payload
+
+
+def test_engaged_replay_within_bar_passes():
+    base = _payload()
+    fresh = _with_replay(copy.deepcopy(base), True, 0.82, False)
+    lines, failures = bench_gate.gate(base, fresh, 0.15)
+    assert failures == []
+    assert any("replay engaged" in line for line in lines)
+
+
+def test_injected_replay_breach_fails():
+    """Replay engaged and lost to the interpreter: the gate must fail."""
+    base = _payload()
+    fresh = _with_replay(copy.deepcopy(base), True, 1.08, False)
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert len(failures) == 1
+    assert "app 1@64" in failures[0] and "1.080x" in failures[0]
+
+
+def test_declined_replay_must_run_the_plain_loop():
+    base = _payload()
+    ok = _with_replay(copy.deepcopy(base), False, 1.04, True)
+    assert bench_gate.gate(base, ok, 0.15)[1] == []
+    bad = _with_replay(copy.deepcopy(base), False, 1.0, False)
+    _, failures = bench_gate.gate(base, bad, 0.15)
+    assert len(failures) == 1 and "plain loop" in failures[0]

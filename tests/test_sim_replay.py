@@ -4,8 +4,9 @@ The heavy identity proofs live elsewhere — golden fixtures in
 ``test_sim_conformance.py``, 200 fuzzed pipelines in
 ``test_sim_differential.py``, invariants in ``test_properties.py``.
 This file pins the engine's *contract surface*: eligibility gating,
-stats accounting and rendering, and the API seams other layers
-(CLI, explore, benchmarks) consume.
+stats accounting and rendering (including the recorded engine
+decisions), and the API seams other layers (CLI, explore, benchmarks)
+consume.
 """
 
 from __future__ import annotations
@@ -145,6 +146,32 @@ class TestStatsSurface:
         stats = ReplayStats(eligible=True, events_interpreted=10)
         assert "no period locked" in stats.describe()
 
+    def test_describe_shows_engine_decisions(self):
+        stats = ReplayStats(
+            eligible=True, events_interpreted=10,
+            not_armed={"no input line end": 2},
+            scalar_kernels={"Median": "1 firing per period (< 2)"},
+            stopped="no period locked within the detection budget",
+            stopped_at_event=12345,
+        )
+        text = stats.describe()
+        assert "not armed: no input line end x2" in text
+        assert "Median (1 firing per period (< 2))" in text
+        assert "recording stopped at event 12345" in text
+        d = stats.as_dict()
+        assert d["stopped_at_event"] == 12345
+        assert d["not_armed"] == {"no input line end": 2}
+
+    def test_decisions_stay_out_of_as_dict(self):
+        bench, compiled = _compiled("1")
+        result = simulate(
+            compiled, SimulationOptions(frames=bench.frames, replay=True)
+        )
+        stats = result.replay
+        assert stats.stopped is not None and stats.not_armed
+        flat = json.dumps(result.as_dict())
+        assert "not_armed" not in flat and "stopped" not in flat
+
 
 class TestDetectorBounds:
     def test_long_period_app_gives_up_cleanly(self):
@@ -164,6 +191,10 @@ class TestDetectorBounds:
         # The alias ladder may replay a handful of early periods before
         # the payoff cutoff trips; the bulk must be interpreted.
         assert stats.events_interpreted > stats.events_replayed
+        # ... and the seam must have dropped, so that bulk ran on the
+        # plain loop without recording.
+        assert stats.stopped is not None
+        assert stats.stopped_at_event < replayed.events_processed
 
     @pytest.mark.parametrize("key", ["1", "2", "4", "5"])
     def test_periodic_apps_engage(self, key):
@@ -172,6 +203,47 @@ class TestDetectorBounds:
             compiled, SimulationOptions(frames=bench.frames, replay=True)
         )
         stats = result.replay
+        assert stats.restarts == 0
+        if key == "1":
+            # App 1 locks a period, but its demosaic and luma kernels do
+            # not batch, so the period cannot pay: the seam records why,
+            # drops, and the rest of the run is the plain loop.
+            assert not stats.engaged and stats.events_replayed == 0
+            assert stats.not_armed.get("batched share < 60%", 0) >= 1
+            assert stats.scalar_kernels["Demosaic"] == "kernel declined"
+            assert stats.stopped == "the period does not batch enough to pay"
+            assert 0 < stats.stopped_at_event < result.events_processed
+            return
         assert stats.engaged and stats.periods_replayed > 0
         assert stats.period_fingerprint is not None
-        assert stats.restarts == 0
+
+
+class TestForcedFallbacks:
+    def test_walk_failure_restarts_on_the_plain_loop(self, monkeypatch):
+        """A failure inside a walked period (a kernel body raising, here a
+        delivery) is the hard-divergence path: the run restarts with the
+        seam off and still returns exactly the plain loop's result."""
+        from repro.sim import replay
+
+        bench, compiled = _compiled("5")
+        plain = simulate(compiled, SimulationOptions(frames=bench.frames))
+        real = replay.Replayer._deliver
+        calls = {"n": 0}
+
+        def flaky(self, *args):
+            calls["n"] += 1
+            if calls["n"] == 50:
+                raise RuntimeError("injected walk failure")
+            return real(self, *args)
+
+        monkeypatch.setattr(replay.Replayer, "_deliver", flaky)
+        result = simulate(
+            compiled, SimulationOptions(frames=bench.frames, replay=True)
+        )
+        stats = result.replay
+        assert calls["n"] >= 50
+        assert stats.restarts == 1
+        assert "injected walk failure" in stats.reason
+        assert stats.events_replayed == 0
+        assert stats.events_interpreted == result.events_processed
+        assert result.as_dict() == plain.as_dict()
