@@ -37,10 +37,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..explore.cache import ResultCache
+from ..explore.executor import SweepOptions
 from ..explore.store import ResultStore
 from ..serve.client import ServiceClient
 from ..serve.http import run_service
-from ..serve.scheduler import ServiceConfig
 from .inject import ChaosInjector
 from .model import ChaosSpec
 
@@ -71,14 +71,14 @@ def _spec(name: str) -> dict[str, Any]:
     }
 
 
-def _config(**overrides: Any) -> ServiceConfig:
+def _config(**overrides: Any) -> SweepOptions:
     """Fast-feedback scheduler knobs; scenarios override per mode."""
     knobs: dict[str, Any] = dict(
         workers=2, retries=2, backoff_s=0.01, backoff_max_s=0.05,
         poll_s=0.02, quarantine_after=0,
     )
     knobs.update(overrides)
-    return ServiceConfig(**knobs)
+    return SweepOptions(**knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ _URL_RE = re.compile(r"http://[\d.]+:\d+")
 class _LiveService:
     """``run_service`` in a daemon thread, shut down through the API."""
 
-    def __init__(self, data_dir: Path, config: ServiceConfig,
+    def __init__(self, data_dir: Path, config: SweepOptions,
                  chaos: ChaosSpec | None = None) -> None:
         self.injector = None if chaos is None else ChaosInjector(chaos)
         self.url = ""

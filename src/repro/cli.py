@@ -549,7 +549,9 @@ def _stream_run(client, run_id: str, as_json: bool) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import ServiceConfig, run_service
+    from dataclasses import replace
+
+    from .serve import SERVICE_OPTIONS, run_service
 
     chaos = None
     if args.chaos is not None:
@@ -562,7 +564,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         data_dir=args.data_dir,
-        config=ServiceConfig(
+        config=replace(
+            SERVICE_OPTIONS,
             workers=args.workers,
             retries=args.retries,
             retry_timeouts=args.retry_timeouts,
@@ -803,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable summary output")
 
-    from .serve import DEFAULT_PORT
+    from .serve import DEFAULT_PORT, SERVICE_OPTIONS
 
     p = sub.add_parser(
         "serve",
@@ -816,10 +819,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=".repro-serve", dest="data_dir",
                    help="durable state: sharded cache, JSONL store, "
                         "run registry, event logs")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=int, default=SERVICE_OPTIONS.workers,
                    help="concurrent jobs across all runs (each in its "
                         "own crash-isolated worker process)")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=int, default=SERVICE_OPTIONS.retries,
                    help="extra attempts for transient job failures")
     p.add_argument("--retry-timeouts", action="store_true",
                    dest="retry_timeouts",
@@ -828,7 +831,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="heartbeat_s", metavar="SECONDS",
                    help="watchdog: kill workers whose heartbeat file goes "
                         "stale for this long (default: off)")
-    p.add_argument("--quarantine-after", type=int, default=3,
+    p.add_argument("--quarantine-after", type=int,
+                   default=SERVICE_OPTIONS.quarantine_after,
                    dest="quarantine_after", metavar="N",
                    help="park a job fingerprint after N consecutive "
                         "crashes instead of retrying forever (0 = off)")

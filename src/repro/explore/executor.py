@@ -1,22 +1,26 @@
 """Parallel sweep execution: compile→simulate→measure as fault-isolated jobs.
 
-Jobs run in :class:`concurrent.futures.ProcessPoolExecutor` workers so a
-crashing or hanging design point cannot take the sweep (or the parent
-interpreter) down.  Each in-flight job gets its own *single-worker* pool:
-a broken pool then identifies its crasher exactly, and terminating a hung
-worker touches nothing else — no collateral blame, no requeue storms.
-(Worker processes are consequently per-job; with the ``fork`` start
-method that costs milliseconds against jobs that compile and simulate
-for hundreds.)
+This module is the one job engine behind both sweep front ends,
+:func:`run_sweep` (``repro explore``) and
+:class:`repro.serve.SweepService` (``repro serve``).  They share three
+pieces and differ only in how they queue and narrate jobs:
 
-The executor holds at most ``workers`` jobs in flight, tracks a
-wall-clock deadline per job, and guarantees **exactly one terminal
-record per job**:
+* :func:`run_job_isolated`, the only attempt primitive: one job in its
+  own *single-worker* :class:`concurrent.futures.ProcessPoolExecutor`,
+  so a crashing or hanging design point cannot take the sweep (or the
+  parent interpreter) down, a broken pool identifies its crasher
+  exactly, and terminating a hung worker touches nothing else.  (Worker
+  processes are per-attempt; with the ``fork`` start method that costs
+  milliseconds against jobs that compile and simulate for hundreds.)
+* :func:`decide_attempt`, the one retry policy;
+* :func:`job_record`, the one terminal-record layout.
+
+The policy guarantees **exactly one terminal record per job**:
 
 * a normal completion records a ``result``;
 * a Python exception in the worker is classified — deterministic compile
   errors (:class:`~repro.errors.BlockParallelError`) fail immediately,
-  anything else retries with exponential backoff up to ``retries`` times
+  anything else retries with bounded backoff up to ``retries`` times
   before recording a ``failure`` of kind ``error``;
 * a worker that dies (segfault, ``os._exit``) breaks its pool and is
   charged a ``crash`` attempt (retryable: transient infrastructure kills
@@ -26,10 +30,13 @@ record per job**:
   ``retry_timeouts`` for flaky-infrastructure setups) and its worker
   process is terminated.
 
-Results are stored through the content-addressed cache (hits skip
-execution entirely) and appended to the JSONL store.  ``workers=0``
-selects in-process serial execution — no isolation and best-effort
-timeouts, but trivially debuggable.
+:func:`run_sweep` holds at most ``workers`` attempts in flight, each on
+a thread blocked in :func:`run_job_isolated`; events, chaos draws and
+the policy stay on the calling thread.  Results are stored through the
+content-addressed cache (hits skip execution entirely) and appended to
+the JSONL store.  ``workers=0`` selects in-process serial execution —
+no isolation and no timeouts, but trivially debuggable — under the same
+policy.
 
 Supervision (opt-in, from :mod:`repro.chaos`):
 
@@ -47,8 +54,9 @@ Supervision (opt-in, from :mod:`repro.chaos`):
 A :class:`~repro.chaos.ChaosInjector` passed as ``chaos`` injects
 worker crashes/hangs/slowdowns per ``(fingerprint, attempt)`` in the
 pooled path (the serial path has no worker process to break and runs
-clean).  All of this sits behind ``None``/``0`` defaults: a chaos-free
-sweep takes none of these branches.
+clean), and every record written under it is marked ``"chaos": true``.
+All of this sits behind ``None``/``0`` defaults: a chaos-free sweep
+takes none of these branches.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
+    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -101,6 +110,9 @@ __all__ = [
     "run_sweep",
     "execute_job",
     "run_job_isolated",
+    "Verdict",
+    "decide_attempt",
+    "job_record",
 ]
 
 #: Results/failures written by this executor.
@@ -109,9 +121,15 @@ RESULT_SCHEMA = 1
 
 @dataclass(frozen=True, slots=True)
 class SweepOptions:
-    """Execution knobs for one sweep run."""
+    """Execution knobs of the job engine, shared by both front ends.
 
-    #: Worker processes; 0 means serial in-process execution.
+    The defaults are the one-shot ``repro explore`` ones; the resident
+    service starts from :data:`repro.serve.scheduler.SERVICE_OPTIONS`.
+    """
+
+    #: Concurrent attempts, each in its own worker process.  ``run_sweep``
+    #: runs 0 serially in-process and -1 as one per CPU but one;
+    #: the service runs at least one.
     workers: int = 0
     #: Extra attempts after the first failure of a retryable kind.
     retries: int = 2
@@ -121,8 +139,9 @@ class SweepOptions:
     backoff_max_s: float = 5.0
     #: Whether a timed-out job is retried (default: terminal).
     retry_timeouts: bool = False
-    #: Deadline-check granularity of the scheduler loop, seconds.
-    tick_s: float = 0.05
+    #: Granularity of the deadline, watchdog and cancel checks inside an
+    #: attempt (and of the sweep loop), seconds.
+    poll_s: float = 0.05
     #: Watchdog heartbeat deadline, seconds; None disarms the watchdog.
     heartbeat_s: float | None = None
     #: Consecutive crashes before a fingerprint is quarantined; 0 = off
@@ -359,24 +378,7 @@ def _worker(job_dict: dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# The scheduler
-
-
-@dataclass(slots=True)
-class _Attempt:
-    job: Job
-    index: int
-    attempt: int = 1
-    not_before: float = 0.0
-
-
-@dataclass(slots=True)
-class _Flight:
-    task: _Attempt
-    pool: ProcessPoolExecutor
-    started: float
-    deadline: float
-    heartbeat: str | None = None
+# The attempt primitive
 
 
 def _mp_context():
@@ -438,9 +440,8 @@ def run_job_isolated(
 ) -> dict[str, Any]:
     """One job attempt in its own single-worker pool, cancellable.
 
-    This is the blocking execution primitive :mod:`repro.serve` drives
-    from worker threads: the same crash isolation and exact blame as
-    :func:`run_sweep`'s pooled path, but for a single attempt with a
+    The one blocking attempt primitive: :func:`run_sweep`'s pooled path
+    and :mod:`repro.serve` both run it on worker threads, with a
     cooperative ``cancel`` event.  Returns a payload shaped like the
     pool ``_worker``'s — ``{"ok": True, "stats": ...}`` or ``{"ok":
     False, "kind": ..., "message": ..., "retryable": ...}`` — with two
@@ -509,6 +510,119 @@ def run_job_isolated(
                 pass
 
 
+# ---------------------------------------------------------------------------
+# The retry policy and the record layout
+
+
+@dataclass(frozen=True, slots=True)
+class Verdict:
+    """The retry policy's decision on one attempt.
+
+    ``action`` is ``"result"`` (``stats`` holds the attempt's stats),
+    ``"retry"`` (after ``delay_s``) or ``"fail"`` (terminal, of failure
+    ``kind`` — ``"quarantined"`` for a parked crash loop).
+    """
+
+    action: str
+    kind: str = ""
+    message: str = ""
+    stats: dict[str, Any] | None = None
+    delay_s: float = 0.0
+
+    def event(self, job: Job, attempt: int) -> SweepEvent:
+        """The event narrating this verdict on ``job``'s ``attempt``."""
+        if self.action == "result":
+            stats = self.stats
+            return JobFinished(
+                job.label,
+                elapsed_s=stats.get("elapsed_s", 0.0),
+                meets=bool(stats.get("meets")),
+                processor_count=int(stats.get("processor_count", 0)),
+            )
+        if self.action == "retry":
+            return JobRetried(job.label, attempt=attempt,
+                              reason=f"{self.kind}: {self.message}",
+                              delay_s=self.delay_s)
+        return JobFailed(job.label, kind=self.kind, message=self.message,
+                         attempts=attempt)
+
+
+def decide_attempt(payload: Mapping[str, Any], attempt: int,
+                   options: SweepOptions, quarantine: QuarantineLedger,
+                   fingerprint: str) -> Verdict:
+    """The one retry policy: what attempt number ``attempt`` leads to.
+
+    A success clears the fingerprint's crash strikes.  A ``crash`` is
+    charged to ``quarantine`` first and parks the fingerprint once its
+    budget runs out.  Otherwise a retryable failure retries while
+    ``attempt <= options.retries``, after the bounded, key-jittered
+    :func:`~repro.chaos.backoff_delay`.  A ``timeout`` is retryable
+    exactly when ``options.retry_timeouts``; any other kind as its
+    payload says, where a payload that does not say is retried.
+    """
+    if payload.get("ok"):
+        quarantine.clear(fingerprint)
+        return Verdict("result", stats=payload["stats"])
+    kind = payload.get("kind", "error")
+    message = payload.get("message", "unknown failure")
+    if kind == "crash":
+        reason = quarantine.record_crash(fingerprint, message)
+        if reason is not None:
+            return Verdict("fail", "quarantined", reason)
+    if kind == "timeout":
+        retryable = options.retry_timeouts
+    else:
+        retryable = bool(payload.get("retryable", True))
+    if retryable and attempt <= options.retries:
+        delay = backoff_delay(attempt, options.backoff_s,
+                              options.backoff_max_s, key=fingerprint)
+        return Verdict("retry", kind, message, delay_s=delay)
+    return Verdict("fail", kind, message)
+
+
+def job_record(job: Job, verdict: Verdict, attempts: int, *,
+               chaos: bool = False, **context: Any) -> dict[str, Any]:
+    """The terminal record of ``job`` under a ``result``/``fail`` verdict.
+
+    ``context`` fields (the service's ``run`` and ``tenant``) follow
+    ``sweep``.  ``chaos`` marks a record produced with fault injection
+    armed: records share one content-addressed cache, and an analysis
+    must never mistake a chaos run's result for a clean one.
+    """
+    record: dict[str, Any] = {
+        "result_schema": RESULT_SCHEMA,
+        "sweep": job.sweep,
+        **context,
+        "kind": "result" if verdict.action == "result" else "failure",
+        "label": job.label,
+        "fingerprint": job.fingerprint,
+        "job": job.to_dict(),
+    }
+    if chaos:
+        record["chaos"] = True
+    record["attempts"] = attempts
+    if verdict.action == "result":
+        record["stats"] = verdict.stats
+    else:
+        if verdict.kind == "quarantined":
+            record["quarantined"] = True
+        record["failure"] = {"kind": verdict.kind,
+                             "message": verdict.message}
+    return record
+
+
+# ---------------------------------------------------------------------------
+# The one-shot sweep
+
+
+@dataclass(slots=True)
+class _Attempt:
+    job: Job
+    index: int
+    attempt: int = 1
+    not_before: float = 0.0
+
+
 def run_sweep(
     jobs: Sequence[Job] | Iterable[Job],
     *,
@@ -523,13 +637,15 @@ def run_sweep(
 
     ``cache`` short-circuits jobs whose fingerprint already has a stored
     result; ``store`` receives every terminal record as one JSONL line;
-    ``on_event`` observes progress (see :mod:`repro.explore.events`);
-    ``resume`` is a fingerprint → prior-result mapping (typically
+    ``on_event`` observes progress (see :mod:`repro.explore.events`),
+    always from the calling thread; ``resume`` is a fingerprint →
+    prior-result mapping (typically
     :func:`~repro.explore.store.completed_records` over an earlier
     store) whose entries short-circuit exactly like cache hits — the
     sweep then completes only the un-cached remainder.  ``chaos``
-    injects worker faults into the pooled path (see the module
-    docstring); ``None`` — the default — is observation-free.
+    injects worker faults into the pooled path and marks the records
+    (see the module docstring); ``None`` — the default — is
+    observation-free.
     """
     jobs = list(jobs)
     emit = on_event or (lambda event: None)
@@ -550,16 +666,6 @@ def run_sweep(
         if store is not None:
             store.append(record)
 
-    def base_record(job: Job) -> dict[str, Any]:
-        return {
-            "result_schema": RESULT_SCHEMA,
-            "sweep": job.sweep,
-            "kind": "",
-            "label": job.label,
-            "fingerprint": job.fingerprint,
-            "job": job.to_dict(),
-        }
-
     pending: list[_Attempt] = []
     for index, job in enumerate(jobs):
         cached = cache.get(job.fingerprint) if cache is not None else None
@@ -574,69 +680,26 @@ def run_sweep(
 
     quarantine = QuarantineLedger(options.quarantine_after)
 
-    def succeed(task: _Attempt, stats: dict[str, Any]) -> None:
-        quarantine.clear(task.job.fingerprint)
-        record = base_record(task.job)
-        record.update(kind="result", attempts=task.attempt, stats=stats)
-        if cache is not None:
-            cache.put(task.job.fingerprint, record)
-        finish(task.index, record)
-        emit(JobFinished(
-            task.job.label,
-            elapsed_s=stats.get("elapsed_s", 0.0),
-            meets=bool(stats.get("meets")),
-            processor_count=int(stats.get("processor_count", 0)),
-        ))
-
-    def fail_or_retry(task: _Attempt, kind: str, message: str,
-                      retryable: bool) -> None:
-        if kind == "crash":
-            reason = quarantine.record_crash(task.job.fingerprint,
-                                             message)
-            if reason is not None:
-                # Crash loop: park the fingerprint instead of spending
-                # what is left of the retry budget on it.
-                record = base_record(task.job)
-                record.update(kind="failure", attempts=task.attempt,
-                              quarantined=True, failure={
-                                  "kind": "quarantined",
-                                  "message": reason,
-                              })
-                finish(task.index, record)
-                emit(JobFailed(task.job.label, kind="quarantined",
-                               message=reason, attempts=task.attempt))
-                return
-        if retryable and task.attempt <= options.retries:
-            delay = backoff_delay(task.attempt, options.backoff_s,
-                                  options.backoff_max_s,
-                                  key=task.job.fingerprint)
-            emit(JobRetried(task.job.label, attempt=task.attempt,
-                            reason=f"{kind}: {message}", delay_s=delay))
+    def settle(task: _Attempt, payload: dict[str, Any]) -> None:
+        verdict = decide_attempt(payload, task.attempt, options,
+                                 quarantine, task.job.fingerprint)
+        if verdict.action == "retry":
+            emit(verdict.event(task.job, task.attempt))
             task.attempt += 1
-            task.not_before = time.monotonic() + delay
+            task.not_before = time.monotonic() + verdict.delay_s
             pending.append(task)
             return
-        record = base_record(task.job)
-        record.update(kind="failure", attempts=task.attempt, failure={
-            "kind": kind, "message": message,
-        })
+        record = job_record(task.job, verdict, task.attempt,
+                            chaos=chaos is not None)
+        if verdict.action == "result" and cache is not None:
+            cache.put(task.job.fingerprint, record)
         finish(task.index, record)
-        emit(JobFailed(task.job.label, kind=kind, message=message,
-                       attempts=task.attempt))
-
-    def handle_payload(task: _Attempt, payload: dict[str, Any]) -> None:
-        if payload.get("ok"):
-            succeed(task, payload["stats"])
-        else:
-            fail_or_retry(task, payload.get("kind", "error"),
-                          payload.get("message", "unknown failure"),
-                          bool(payload.get("retryable", True)))
+        emit(verdict.event(task.job, task.attempt))
 
     if workers == 0:
-        _run_serial(pending, handle_payload, emit)
+        _run_serial(pending, settle, emit)
     else:
-        _run_pooled(pending, workers, options, handle_payload,
-                    fail_or_retry, emit, chaos=chaos)
+        _run_pooled(pending, workers, options, settle, emit, chaos)
 
     records = [terminal[i] for i in sorted(terminal)]
     elapsed = time.monotonic() - started
@@ -648,7 +711,7 @@ def run_sweep(
     return result
 
 
-def _run_serial(pending: list[_Attempt], handle_payload, emit) -> None:
+def _run_serial(pending: list[_Attempt], settle, emit) -> None:
     """In-process execution: no isolation, timeouts not enforced."""
     while pending:
         task = pending.pop(0)
@@ -656,26 +719,18 @@ def _run_serial(pending: list[_Attempt], handle_payload, emit) -> None:
         if task.not_before > now:
             time.sleep(task.not_before - now)
         emit(JobStarted(task.job.label, attempt=task.attempt))
-        handle_payload(task, _worker(task.job.to_dict()))
-
-
-def _discard_heartbeat(path: str | None) -> None:
-    if path is None:
-        return
-    try:
-        os.unlink(path)
-    except OSError:  # pragma: no cover - already gone
-        pass
+        settle(task, _worker(task.job.to_dict()))
 
 
 def _run_pooled(pending: list[_Attempt], workers: int,
-                options: SweepOptions, handle_payload, fail_or_retry,
-                emit, chaos: ChaosInjector | None = None) -> None:
-    """At most ``workers`` jobs in flight, each in a single-worker pool
-    of its own so failure blame and termination are exact."""
-    ctx = _mp_context()
-    heartbeat_s = options.heartbeat_s
-    in_flight: dict[Future, _Flight] = {}
+                options: SweepOptions, settle, emit,
+                chaos: ChaosInjector | None) -> None:
+    """At most ``workers`` attempts in flight, each a thread blocked in
+    :func:`run_job_isolated`; everything else stays on this thread."""
+    cancel = threading.Event()
+    threads = ThreadPoolExecutor(max_workers=workers,
+                                 thread_name_prefix="repro-sweep")
+    in_flight: dict[Future, _Attempt] = {}
     try:
         while pending or in_flight:
             now = time.monotonic()
@@ -684,89 +739,32 @@ def _run_pooled(pending: list[_Attempt], workers: int,
             while ready and len(in_flight) < workers:
                 task = ready.pop(0)
                 pending.remove(task)
-                emit(JobStarted(task.job.label, attempt=task.attempt))
-                pool = ProcessPoolExecutor(
-                    max_workers=1, mp_context=ctx,
-                    initializer=_worker_init,
-                )
                 action = None
                 if chaos is not None:
                     action = chaos.worker_action(
                         task.job.fingerprint, task.attempt,
                         task.job.label,
                     )
-                hb_path = None
-                hb_interval = 0.0
-                if heartbeat_s is not None and heartbeat_s > 0.0:
-                    fd, hb_path = tempfile.mkstemp(
-                        prefix="repro-heartbeat-")
-                    os.close(fd)
-                    hb_interval = heartbeat_s / 4.0
-                future = pool.submit(_worker, task.job.to_dict(),
-                                     action, hb_path, hb_interval)
-                in_flight[future] = _Flight(
-                    task=task, pool=pool, started=now,
-                    deadline=now + task.job.timeout_s,
-                    heartbeat=hb_path,
+                future = threads.submit(
+                    run_job_isolated, task.job, cancel=cancel,
+                    poll_s=options.poll_s, heartbeat_s=options.heartbeat_s,
+                    chaos_action=action,
                 )
+                in_flight[future] = task
+                emit(JobStarted(task.job.label, attempt=task.attempt))
             if not in_flight:
                 # Everything pending is backing off; sleep until the
                 # earliest becomes ready.
                 wake = min(t.not_before for t in pending)
-                time.sleep(max(options.tick_s, wake - time.monotonic()))
+                time.sleep(max(options.poll_s, wake - time.monotonic()))
                 continue
-
-            done, _ = wait(set(in_flight), timeout=options.tick_s,
+            done, _ = wait(in_flight, timeout=options.poll_s,
                            return_when=FIRST_COMPLETED)
             for future in done:
-                flight = in_flight.pop(future)
-                error = future.exception()
-                if error is None:
-                    handle_payload(flight.task, future.result())
-                elif isinstance(error, BrokenProcessPool):
-                    # This job's own worker died mid-job (hard crash);
-                    # single-worker pools make the attribution exact.
-                    fail_or_retry(flight.task, "crash",
-                                  "worker process died", True)
-                else:  # pragma: no cover - _worker never raises
-                    fail_or_retry(flight.task, "error", str(error), True)
-                _terminate_pool(flight.pool)
-                _discard_heartbeat(flight.heartbeat)
-
-            # Watchdog scan: a worker silent past the heartbeat
-            # deadline is reaped now, charged a retryable crash, and
-            # its pool slot freed — queued jobs keep flowing instead of
-            # waiting out the hung job's full wall-clock budget.
-            if heartbeat_s is not None and heartbeat_s > 0.0:
-                stale = [f for f, fl in in_flight.items()
-                         if fl.heartbeat is not None
-                         and heartbeat_stale(fl.heartbeat, heartbeat_s)]
-                for future in stale:
-                    flight = in_flight.pop(future)
-                    fail_or_retry(
-                        flight.task, "crash",
-                        (f"watchdog: no heartbeat for {heartbeat_s:g}s; "
-                         f"worker killed"),
-                        True,
-                    )
-                    _terminate_pool(flight.pool)
-                    _discard_heartbeat(flight.heartbeat)
-
-            # Deadline scan: a hung job gets a timeout record (terminal
-            # unless retry_timeouts) and only *its* worker is killed.
-            now = time.monotonic()
-            expired = [f for f, fl in in_flight.items()
-                       if fl.deadline <= now]
-            for future in expired:
-                flight = in_flight.pop(future)
-                fail_or_retry(
-                    flight.task, "timeout",
-                    f"exceeded {flight.task.job.timeout_s:g}s wall clock",
-                    options.retry_timeouts,
-                )
-                _terminate_pool(flight.pool)
-                _discard_heartbeat(flight.heartbeat)
+                settle(in_flight.pop(future), future.result())
     finally:
-        for flight in in_flight.values():  # pragma: no cover - unwind
-            _terminate_pool(flight.pool)
-            _discard_heartbeat(flight.heartbeat)
+        # On unwind (``on_event`` or a store write raised) every attempt
+        # still in flight sees the cancel within ``poll_s`` and tears
+        # its worker process down before the join returns.
+        cancel.set()
+        threads.shutdown(wait=True)

@@ -39,7 +39,7 @@ from .protocol import (
     decode_event,
     encode_event,
 )
-from .scheduler import RunHandle, ServiceConfig, SweepService
+from .scheduler import SERVICE_OPTIONS, RunHandle, SweepService
 from .storage import ServiceStorage
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
     "decode_event",
     "encode_event",
     "RunHandle",
-    "ServiceConfig",
+    "SERVICE_OPTIONS",
     "SweepService",
     "ServiceStorage",
 ]

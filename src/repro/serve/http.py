@@ -46,8 +46,9 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..chaos.inject import ChaosInjector
 from ..chaos.model import ChaosSpec
+from ..explore.executor import SweepOptions
 from .protocol import PROTOCOL_VERSION, ServeError
-from .scheduler import ServiceConfig, SweepService
+from .scheduler import SERVICE_OPTIONS, SweepService
 from .storage import ServiceStorage
 
 __all__ = ["DEFAULT_PORT", "HttpServer", "run_service"]
@@ -334,7 +335,7 @@ class HttpServer:
 
 def run_service(*, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                 data_dir: str = ".repro-serve",
-                config: ServiceConfig = ServiceConfig(),
+                config: SweepOptions = SERVICE_OPTIONS,
                 announce: Callable[[str], None] | None = print,
                 chaos: ChaosSpec | ChaosInjector | None = None,
                 dashboard: bool = False) -> int:

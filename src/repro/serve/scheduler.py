@@ -5,10 +5,14 @@ submission is compiled into an immutable :class:`~.protocol.SweepPlan`
 at admission, then driven through the guarded lifecycle machine while
 its jobs funnel — together with every other tenant's — into one shared
 priority queue.  Worker tasks pop jobs in ``(priority desc, admission
-order)`` and execute each through
-:func:`repro.explore.executor.run_job_isolated` in a thread: the same
-crash-isolated single-worker process pool, deadline, and retry
-classification as the one-shot path, plus a cooperative cancel flag.
+order)`` and run them on the one job engine of
+:mod:`repro.explore.executor`, exactly as ``repro explore`` does: each
+attempt through :func:`~repro.explore.executor.run_job_isolated` in a
+thread, each payload through the one retry policy
+(:func:`~repro.explore.executor.decide_attempt`), each terminal record
+through :func:`~repro.explore.executor.job_record`.  What is the
+service's own is a cooperative cancel flag per attempt, a backoff that
+a cancel interrupts, and the two deduplication levels below.
 
 Deduplication happens at two levels, both keyed by the job fingerprint:
 
@@ -28,15 +32,13 @@ Invariants (asserted by ``tests/test_serve.py``):
 * graceful drain: ``stop()`` refuses new submissions, lets in-flight
   work finish (or cancels it), and leaves no run non-terminal.
 
-Supervision (see :mod:`repro.chaos`): ``heartbeat_s`` arms the worker
-watchdog (a hung worker is killed and charged a retryable crash within
-one heartbeat window instead of blocking a slot for its full timeout),
-``quarantine_after`` parks fingerprints that crash-loop that many
-consecutive times with a terminal ``quarantined`` record, and retry
-backoff is bounded at ``backoff_max_s`` with deterministic
-fingerprint-keyed jitter.  A :class:`~repro.chaos.ChaosInjector` passed
-as ``chaos`` injects worker/storage faults to prove all of it; the
-default ``chaos=None`` path is observation-free.
+Supervision (see :mod:`repro.chaos` and the engine's
+:class:`~repro.explore.executor.SweepOptions`) is the engine's, with
+one ledger per service: a fingerprint quarantined in any run is parked
+service-wide, and :data:`SERVICE_OPTIONS` arms quarantine by default.
+A :class:`~repro.chaos.ChaosInjector` passed as ``chaos`` injects
+worker/storage faults to prove all of it; the default ``chaos=None``
+path is observation-free.
 """
 
 from __future__ import annotations
@@ -47,20 +49,18 @@ import itertools
 import threading
 import time
 import uuid
-from dataclasses import dataclass
 from typing import Any, AsyncIterator, Mapping
 
 from ..chaos.inject import ChaosInjector
-from ..chaos.watchdog import QuarantineLedger, backoff_delay
-from ..explore.events import (
-    JobCacheHit,
-    JobFailed,
-    JobFinished,
-    JobRetried,
-    JobStarted,
-    SweepEvent,
+from ..chaos.watchdog import QuarantineLedger
+from ..explore.events import JobCacheHit, JobStarted, SweepEvent
+from ..explore.executor import (
+    SweepOptions,
+    Verdict,
+    decide_attempt,
+    job_record,
+    run_job_isolated,
 )
-from ..explore.executor import RESULT_SCHEMA, run_job_isolated
 from ..explore.spec import Job
 from .lifecycle import RunState, RunStateMachine
 from .protocol import (
@@ -73,35 +73,12 @@ from .protocol import (
 )
 from .storage import ServiceStorage
 
-__all__ = ["ServiceConfig", "RunHandle", "SweepService"]
+__all__ = ["SERVICE_OPTIONS", "RunHandle", "SweepService"]
 
-
-@dataclass(frozen=True, slots=True)
-class ServiceConfig:
-    """Execution knobs for the resident scheduler."""
-
-    #: Concurrent jobs in flight across all runs (each in its own
-    #: crash-isolated worker process).
-    workers: int = 2
-    #: Extra attempts after the first failure of a retryable kind.
-    retries: int = 2
-    #: Base of the exponential retry backoff, seconds.
-    backoff_s: float = 0.1
-    #: Cap on the exponential backoff, seconds (jittered below it).
-    backoff_max_s: float = 5.0
-    #: Whether a timed-out job is retried (default: terminal).
-    retry_timeouts: bool = False
-    #: Cancellation/deadline poll granularity inside a job, seconds.
-    poll_s: float = 0.05
-    #: Watchdog heartbeat deadline, seconds; None disarms the watchdog.
-    heartbeat_s: float | None = None
-    #: Consecutive crashes before a fingerprint is quarantined.  A
-    #: resident multi-tenant service defaults this *on*: one poison
-    #: design point must not burn every run's retry budget forever.
-    quarantine_after: int = 3
-
-    def resolved_workers(self) -> int:
-        return max(1, self.workers)
+#: The resident service's engine defaults: two concurrent jobs, and
+#: quarantine *on* — in a multi-tenant service one poison design point
+#: must not burn every run's retry budget forever.
+SERVICE_OPTIONS = SweepOptions(workers=2, quarantine_after=3)
 
 
 class RunHandle:
@@ -221,7 +198,7 @@ class SweepService:
     """Accept, schedule, execute, and narrate sweeps until told to stop."""
 
     def __init__(self, storage: ServiceStorage,
-                 config: ServiceConfig = ServiceConfig(), *,
+                 config: SweepOptions = SERVICE_OPTIONS, *,
                  chaos: ChaosInjector | None = None,
                  observer: Any | None = None) -> None:
         self.storage = storage
@@ -253,7 +230,7 @@ class SweepService:
     async def start(self) -> None:
         self.started_at = time.time()
         self._started_mono = time.monotonic()
-        count = self.config.resolved_workers()
+        count = max(1, self.config.workers)
         self._workers = [
             asyncio.create_task(self._worker_loop(), name=f"sweep-worker-{i}")
             for i in range(count)
@@ -409,11 +386,10 @@ class SweepService:
                 # A scheduler bug must not wedge the service: charge the
                 # job a terminal failure and keep serving.
                 if index not in handle.records:
-                    self._finish_job_failed(
-                        handle, index, "error",
+                    self._finish_job(handle, index, Verdict(
+                        "fail", "error",
                         f"scheduler error: {type(exc).__name__}: {exc}",
-                        attempts=1,
-                    )
+                    ), attempts=1)
                 self._maybe_finish_run(handle)
 
     async def _run_entry(self, handle: RunHandle, index: int) -> None:
@@ -450,8 +426,9 @@ class SweepService:
             # A fingerprint that crash-looped past its budget in *any*
             # run is parked service-wide: terminal record, no execution,
             # no retry budget spent.
-            self._finish_job_quarantined(handle, index, parked,
-                                         attempts=0)
+            self._finish_job(handle, index,
+                             Verdict("fail", "quarantined", parked),
+                             attempts=0)
             self._maybe_finish_run(handle)
             return
 
@@ -498,80 +475,55 @@ class SweepService:
                     heartbeat_s=self.config.heartbeat_s,
                     chaos_action=chaos_action,
                 )
-                if payload.get("ok"):
-                    self._quarantine.clear(fingerprint)
-                    record = self._base_record(handle, job, fingerprint)
-                    record.update(kind="result", attempts=attempt,
-                                  stats=payload["stats"])
+                if not payload.get("ok"):
+                    kind = payload.get("kind", "error")
+                    message = payload.get("message", "unknown failure")
+                    if kind == "cancelled":
+                        self._finish_job_cancelled(handle, index, message)
+                        return
+                    if flag.is_set() or handle.cancel_requested:
+                        # Cancel raced the failure — e.g. the watchdog
+                        # killed the worker in the same poll window the
+                        # cancel flag went up, so the payload reads
+                        # "crash".  The user asked for cancellation:
+                        # honouring the crash with a retry would
+                        # resurrect a cancelled job (and its run) from
+                        # the dead.
+                        self._finish_job_cancelled(
+                            handle, index,
+                            f"cancelled during attempt ({kind}: {message})",
+                        )
+                        return
+                verdict = decide_attempt(payload, attempt, self.config,
+                                         self._quarantine, fingerprint)
+                if verdict.action == "result":
+                    record = self._record(handle, index, verdict, attempt)
                     await asyncio.to_thread(
                         self.storage.cache.put, fingerprint, record
                     )
-                    self.storage.store.append(record)
-                    stats = payload["stats"]
-                    handle.finish_job(index, record)
-                    handle.emit(JobFinished(
-                        job.label,
-                        elapsed_s=stats.get("elapsed_s", 0.0),
-                        meets=bool(stats.get("meets")),
-                        processor_count=int(stats.get("processor_count", 0)),
-                    ))
+                    self._finish_job(handle, index, verdict, attempt,
+                                     record=record)
                     future.set_result(record)
                     return
-                kind = payload.get("kind", "error")
-                message = payload.get("message", "unknown failure")
-                if kind == "cancelled":
-                    self._finish_job_cancelled(handle, index, message)
+                if verdict.action == "fail":
+                    self._finish_job(handle, index, verdict, attempt)
                     return
+                handle.emit(verdict.event(job, attempt))
+                attempt += 1
+                # Sleep in poll_s slices so a cancel arriving mid-backoff
+                # settles the job within one slice instead of after the
+                # full (possibly capped but multi-second) delay.
+                slept = 0.0
+                while (slept < verdict.delay_s and not flag.is_set()
+                        and not handle.cancel_requested):
+                    step = min(self.config.poll_s, verdict.delay_s - slept)
+                    await asyncio.sleep(step)
+                    slept += step
                 if flag.is_set() or handle.cancel_requested:
-                    # Cancel raced the failure — e.g. the watchdog
-                    # killed the worker in the same poll window the
-                    # cancel flag went up, so the payload reads
-                    # "crash".  The user asked for cancellation:
-                    # honouring the crash with a retry would resurrect
-                    # a cancelled job (and its run) from the dead.
                     self._finish_job_cancelled(
-                        handle, index,
-                        f"cancelled during attempt ({kind}: {message})",
+                        handle, index, "cancelled during retry backoff"
                     )
                     return
-                if kind == "crash":
-                    parked = self._quarantine.record_crash(fingerprint,
-                                                           message)
-                    if parked is not None:
-                        self._finish_job_quarantined(handle, index,
-                                                     parked,
-                                                     attempts=attempt)
-                        return
-                retryable = bool(payload.get("retryable", False)) or (
-                    kind == "timeout" and self.config.retry_timeouts
-                )
-                if retryable and attempt <= self.config.retries:
-                    delay = backoff_delay(attempt, self.config.backoff_s,
-                                          self.config.backoff_max_s,
-                                          key=fingerprint)
-                    handle.emit(JobRetried(job.label, attempt=attempt,
-                                           reason=f"{kind}: {message}",
-                                           delay_s=delay))
-                    attempt += 1
-                    # Sleep in poll_s slices so a cancel arriving
-                    # mid-backoff settles the job within one slice
-                    # instead of after the full (possibly capped but
-                    # multi-second) delay.
-                    slept = 0.0
-                    while (slept < delay and not flag.is_set()
-                            and not handle.cancel_requested):
-                        step = min(self.config.poll_s, delay - slept)
-                        await asyncio.sleep(step)
-                        slept += step
-                    if flag.is_set() or handle.cancel_requested:
-                        self._finish_job_cancelled(
-                            handle, index, "cancelled during retry backoff"
-                        )
-                        return
-                    continue
-                self._finish_job_failed(handle, index, kind, message,
-                                        attempts=attempt)
-                return
         finally:
             self._inflight.pop(fingerprint, None)
             handle.cancel_flags.pop(index, None)
@@ -580,56 +532,29 @@ class SweepService:
 
     # -- terminal records ----------------------------------------------
 
-    def _base_record(self, handle: RunHandle, job: Job,
-                     fingerprint: str) -> dict[str, Any]:
-        record = {
-            "result_schema": RESULT_SCHEMA,
-            "sweep": job.sweep,
-            "run": handle.plan.run_id,
-            "tenant": handle.plan.tenant,
-            "kind": "",
-            "label": job.label,
-            "fingerprint": fingerprint,
-            "job": job.to_dict(),
-        }
-        if self.chaos is not None:
-            # Results produced under injected faults are marked so an
-            # analysis never mistakes a chaos run for a clean one.
-            record["chaos"] = True
-        return record
+    def _record(self, handle: RunHandle, index: int, verdict: Verdict,
+                attempts: int) -> dict[str, Any]:
+        return job_record(handle.plan.jobs[index], verdict, attempts,
+                          chaos=self.chaos is not None,
+                          run=handle.plan.run_id, tenant=handle.plan.tenant)
 
-    def _finish_job_failed(self, handle: RunHandle, index: int, kind: str,
-                           message: str, *, attempts: int) -> None:
-        job = handle.plan.jobs[index]
-        record = self._base_record(handle, job,
-                                   handle.plan.fingerprints[index])
-        record.update(kind="failure", attempts=attempts,
-                      failure={"kind": kind, "message": message})
+    def _finish_job(self, handle: RunHandle, index: int, verdict: Verdict,
+                    attempts: int, *,
+                    record: dict[str, Any] | None = None) -> None:
+        """Store, account and narrate one job's terminal ``verdict``.
+
+        ``attempts=0`` on a ``quarantined`` verdict means the
+        fingerprint was already parked and this job never executed."""
+        if record is None:
+            record = self._record(handle, index, verdict, attempts)
         self.storage.store.append(record)
         handle.finish_job(index, record)
-        handle.emit(JobFailed(job.label, kind=kind, message=message,
-                              attempts=attempts))
+        handle.emit(verdict.event(handle.plan.jobs[index], attempts))
 
     def _finish_job_cancelled(self, handle: RunHandle, index: int,
                               message: str) -> None:
-        self._finish_job_failed(handle, index, "cancelled", message,
-                                attempts=1)
-
-    def _finish_job_quarantined(self, handle: RunHandle, index: int,
-                                reason: str, *, attempts: int) -> None:
-        """Terminal ``quarantined`` record: the poison-job parking slot.
-
-        ``attempts=0`` means the fingerprint was already parked and this
-        job never executed at all."""
-        job = handle.plan.jobs[index]
-        record = self._base_record(handle, job,
-                                   handle.plan.fingerprints[index])
-        record.update(kind="failure", attempts=attempts, quarantined=True,
-                      failure={"kind": "quarantined", "message": reason})
-        self.storage.store.append(record)
-        handle.finish_job(index, record)
-        handle.emit(JobFailed(job.label, kind="quarantined",
-                              message=reason, attempts=attempts))
+        self._finish_job(handle, index, Verdict("fail", "cancelled", message),
+                         attempts=1)
 
     def _maybe_finish_run(self, handle: RunHandle) -> None:
         if handle.machine.terminal or handle.done != handle.plan.total:

@@ -61,7 +61,6 @@ from repro.serve import (
     RunStateChanged,
     ServeError,
     ServiceClient,
-    ServiceConfig,
     ServiceStorage,
     ServiceUnreachable,
     SweepPlan,
@@ -555,6 +554,57 @@ class TestWorkerChaosExecution:
         assert any(e.kind == "quarantined" for e in failed)
 
 
+    def test_pooled_watchdog_reaps_then_quarantines_a_hung_job(self):
+        # The watchdog inside every pooled attempt, not just a lone
+        # run_job_isolated call: a hung victim is reaped as a retryable
+        # crash within its heartbeat window (not the 300s deadline),
+        # crash-loops into quarantine, and its neighbour is untouched.
+        injector = ChaosInjector(ChaosSpec(worker=WorkerChaos(
+            hang_probability=1.0, match="rate_hz=40",
+        )))
+        jobs = [job_at(40.0, timeout_s=300.0), job_at(50.0, timeout_s=300.0)]
+        events = []
+        started = time.monotonic()
+        result = run_sweep(
+            jobs,
+            options=SweepOptions(workers=1, retries=5, backoff_s=0.01,
+                                 backoff_max_s=0.05, heartbeat_s=0.5,
+                                 quarantine_after=2),
+            on_event=events.append,
+            chaos=injector,
+        )
+        assert time.monotonic() - started < 60.0
+        victim, survivor = result.records
+        assert victim["failure"]["kind"] == "quarantined"
+        assert victim["attempts"] == 2
+        assert "watchdog" in victim["failure"]["message"]
+        assert survivor["kind"] == "result"
+        retried = [e for e in events if type(e).__name__ == "JobRetried"]
+        assert len(retried) == 1
+        assert retried[0].reason.startswith("crash: watchdog")
+
+    def test_chaos_sweeps_mark_their_records(self, tmp_path):
+        # Chaos and clean sweeps share the content-addressed cache: a
+        # record produced with injection armed says so, wherever it is
+        # read back; a chaos-free record has no ``chaos`` key at all.
+        jobs = [job_at(40.0), job_at(50.0)]
+        injector = ChaosInjector(ChaosSpec(worker=WorkerChaos(
+            slow_probability=1.0, slow_s=0.01, match="rate_hz=40",
+        )))
+        options = SweepOptions(workers=2)
+        cache = ResultCache(tmp_path / "cache")
+        store = ResultStore(tmp_path / "chaos.jsonl")
+        armed = run_sweep(jobs, cache=cache, store=store, options=options,
+                          chaos=injector)
+        assert [r.get("chaos") for r in armed.records] == [True, True]
+        assert [r.get("chaos") for r in store.load()] == [True, True]
+        reread = run_sweep(jobs, cache=cache, options=options)
+        assert reread.cache_hits == 2
+        assert all(r["chaos"] is True for r in reread.records)
+        clean = run_sweep(jobs, options=options)
+        assert all("chaos" not in r for r in clean.records)
+
+
 # ---------------------------------------------------------------------------
 # Satellite: the scheduler's two cancel races
 
@@ -565,7 +615,7 @@ class TestSchedulerCancelRaces:
         knobs.setdefault("poll_s", 0.02)
         knobs.setdefault("backoff_s", 0.01)
         storage = ServiceStorage(tmp_path / "data")
-        return SweepService(storage, ServiceConfig(**knobs))
+        return SweepService(storage, SweepOptions(**knobs))
 
     def test_cancel_during_retry_backoff_settles_promptly(self, tmp_path,
                                                           monkeypatch):
@@ -672,7 +722,7 @@ class _LiveService:
         self.thread = threading.Thread(
             target=run_service,
             kwargs=dict(host="127.0.0.1", port=0, data_dir=str(data_dir),
-                        config=ServiceConfig(**knobs),
+                        config=SweepOptions(**knobs),
                         announce=self._announce, chaos=self.chaos),
             daemon=True,
         )

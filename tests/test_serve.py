@@ -26,6 +26,7 @@ import http.client
 import json
 import queue
 import re
+import shutil
 import threading
 import time
 from dataclasses import fields
@@ -39,8 +40,10 @@ from repro.explore import (
     Job,
     ResultCache,
     ResultStore,
+    SweepOptions,
     completed_records,
     run_job_isolated,
+    run_sweep,
 )
 from repro.serve import (
     LifecycleError,
@@ -48,7 +51,6 @@ from repro.serve import (
     RunStateMachine,
     ServeError,
     ServiceClient,
-    ServiceConfig,
     ServiceStorage,
     SweepPlan,
     SweepService,
@@ -118,7 +120,7 @@ def service_at(tmp_path, **knobs):
     knobs.setdefault("poll_s", 0.02)
     knobs.setdefault("backoff_s", 0.01)
     storage = ServiceStorage(tmp_path / "data")
-    return SweepService(storage, ServiceConfig(**knobs))
+    return SweepService(storage, SweepOptions(**knobs))
 
 
 async def wait_for_event(handle, name, timeout_s=30.0):
@@ -705,6 +707,75 @@ class TestSweepService:
 
 
 # ---------------------------------------------------------------------------
+# One job engine: the same jobs end the same way through every front end
+
+
+class TestEngineParity:
+    OPTIONS = SweepOptions(workers=2, retries=1, backoff_s=0.01,
+                           backoff_max_s=0.05, poll_s=0.02,
+                           retry_timeouts=True)
+
+    @staticmethod
+    def outcomes(records):
+        return {
+            r["fingerprint"]: (r["kind"] if r["kind"] == "result"
+                               else r["failure"]["kind"], r["attempts"])
+            for r in records
+        }
+
+    def test_explore_and_serve_agree_per_fingerprint(self, tmp_path,
+                                                     monkeypatch):
+        markers = tmp_path / "markers"
+        in_process = inject_jobs([
+            None,
+            {"mode": "error", "message": "boom"},
+            {"mode": "flaky", "fail_times": 1, "marker_dir": str(markers)},
+        ]) + (Job.from_dict({
+            "sweep": "svc", "app": "image_pipeline",
+            "params": {**GOOD, "rate_hz": 1e7}, "frames": 2,
+        }),)
+        killing = (
+            Job.from_dict({"sweep": "svc", "app": "image_pipeline",
+                           "params": {**GOOD, "rate_hz": 70.0},
+                           "frames": 2, "inject": {"mode": "crash"}}),
+            Job.from_dict({"sweep": "svc", "app": "image_pipeline",
+                           "params": {**GOOD, "rate_hz": 71.0},
+                           "frames": 2, "timeout_s": 1.0,
+                           "inject": {"mode": "hang", "sleep_s": 60.0}}),
+        )
+        jobs = in_process + killing
+        expected = dict(zip(
+            (j.fingerprint for j in jobs),
+            [("result", 1), ("error", 2), ("result", 2),
+             ("compile-error", 1), ("crash", 2), ("timeout", 2)],
+        ))
+
+        pooled = self.outcomes(run_sweep(jobs, options=self.OPTIONS).records)
+        shutil.rmtree(markers)
+        serial = self.outcomes(run_sweep(
+            in_process, options=dataclasses.replace(self.OPTIONS, workers=0),
+        ).records)
+        shutil.rmtree(markers)
+
+        monkeypatch.setattr("repro.serve.scheduler.SweepPlan",
+                            _PlanStub(plan_of(jobs)))
+
+        async def scenario():
+            service = SweepService(ServiceStorage(tmp_path / "data"),
+                                   self.OPTIONS)
+            await service.start()
+            handle = await service.submit({})
+            [e async for e in service.watch(handle.plan.run_id)]
+            await service.stop()
+            return handle
+
+        served = self.outcomes(run(scenario()).records.values())
+        assert pooled == served == expected
+        assert serial == {j.fingerprint: expected[j.fingerprint]
+                          for j in in_process}
+
+
+# ---------------------------------------------------------------------------
 # HTTP front end + blocking client + CLI (the full stack)
 
 
@@ -719,7 +790,7 @@ class _LiveService:
         self.thread = threading.Thread(
             target=run_service,
             kwargs=dict(host="127.0.0.1", port=0, data_dir=str(data_dir),
-                        config=ServiceConfig(**knobs),
+                        config=SweepOptions(**knobs),
                         announce=self._announce, dashboard=dashboard),
             daemon=True,
         )
